@@ -156,8 +156,10 @@ let run_cmd =
 
 (* A deliberately steal-heavy synthetic workload: fine-grained fork-join
    leaves plus an unbalanced recursive join, so every per-worker counter
-   (tasks, steals, idle waits, deque depth) moves at num_workers > 1. *)
+   (tasks, steals, idle waits, deque depth) moves at num_workers > 1.  Each
+   part runs under a named span, the phases of a [--trace] file. *)
 let stats_workload pool ~tasks ~work =
+  let span name f = Rpb_pool.Pool.Trace.span pool name f in
   let sink = Atomic.make 0 in
   let spin k =
     let acc = ref 0 in
@@ -167,9 +169,10 @@ let stats_workload pool ~tasks ~work =
     Atomic.fetch_and_add sink !acc |> ignore
   in
   Rpb_pool.Pool.run pool (fun () ->
-      Rpb_pool.Pool.parallel_for ~grain:1 ~start:0 ~finish:tasks
-        ~body:(fun _ -> spin work)
-        pool;
+      span "stats.leaves" (fun () ->
+          Rpb_pool.Pool.parallel_for ~grain:1 ~start:0 ~finish:tasks
+            ~body:(fun _ -> spin work)
+            pool);
       let rec unbalanced n =
         if n <= 1 then 1
         else
@@ -182,10 +185,11 @@ let stats_workload pool ~tasks ~work =
           in
           a + b
       in
-      ignore (unbalanced 64);
-      ignore
-        (Rpb_pool.Pool.parallel_for_reduce ~grain:16 ~start:0 ~finish:(tasks * 8)
-           ~body:Fun.id ~combine:( + ) ~init:0 pool))
+      ignore (span "stats.unbalanced" (fun () -> unbalanced 64));
+      span "stats.reduce" (fun () ->
+          ignore
+            (Rpb_pool.Pool.parallel_for_reduce ~grain:16 ~start:0
+               ~finish:(tasks * 8) ~body:Fun.id ~combine:( + ) ~init:0 pool)))
 
 let stats_run ~threads ~tasks ~work ~json ~trace =
   let module Pool = Rpb_pool.Pool in
@@ -203,9 +207,11 @@ let stats_run ~threads ~tasks ~work ~json ~trace =
   (match trace with
    | None -> ()
    | Some path ->
-     let n = Pool.Trace.stop_to_file path in
-     Printf.printf "wrote %d trace events to %s (chrome://tracing format)\n" n
-       path);
+     let r = Pool.Recorder.stop () in
+     let n = Pool.Trace.to_file path r in
+     Printf.printf
+       "wrote %d trace events to %s (chrome://tracing format; %d dropped)\n" n
+       path r.Pool.Recorder.dropped);
   (match json with
    | None -> ()
    | Some path ->
@@ -251,7 +257,9 @@ let stats_cmd =
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
-             ~doc:"record task spans and write Chrome-trace JSON")
+             ~doc:
+               "record phase, work and idle spans with the flight recorder \
+                and write them as Chrome-trace JSON")
   in
   let run threads tasks work json trace =
     exit (stats_run ~threads ~tasks ~work ~json ~trace)
@@ -1094,26 +1102,13 @@ let top_cmd =
 
 (* ---- slo: offline burn-rate replay and live health polling ---- *)
 
-(* A --metrics-json stream is JSONL; a lone artifact is one document.
-   Unparseable lines are skipped — the stream may end mid-write when the
-   server was killed, and that must not abort the replay. *)
+(* A --metrics-json stream is JSONL; a lone artifact is one document. *)
 let slo_docs_of_file path =
   let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Bench_json.of_string content with
-  | j -> [ j ]
-  | exception Bench_json.Parse_error _ ->
-    String.split_on_char '\n' content
-    |> List.filter_map (fun line ->
-           if String.trim line = "" then None
-           else
-             match Bench_json.of_string line with
-             | j -> Some j
-             | exception Bench_json.Parse_error _ -> None)
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+  |> Bench_json.docs_of_string
 
 let print_verdict_table verdicts =
   let module Slo = Rpb_obs.Slo in

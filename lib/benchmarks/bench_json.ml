@@ -3,7 +3,8 @@
    The container has no yojson, so this module carries a small self-contained
    JSON value type with a compact printer and a recursive-descent parser —
    enough to emit BENCH_*.json documents, parse them back (the round-trip the
-   test suite checks), and parse the Chrome-trace files Pool.Trace writes. *)
+   test suite checks), and parse the Chrome-trace files Pool.Trace renders
+   from the flight recorder. *)
 
 type json =
   | Null
@@ -252,6 +253,19 @@ let of_string s =
   skip_ws cur;
   if cur.pos <> String.length s then fail cur "trailing garbage";
   v
+
+(* A stream killed mid-write (a --metrics-json log) ends in a torn line:
+   whole lines still count, unparseable ones are skipped. *)
+let docs_of_string s =
+  match of_string s with
+  | j -> [ j ]
+  | exception Parse_error _ ->
+    List.filter_map
+      (fun line ->
+        match of_string line with
+        | j -> Some j
+        | exception Parse_error _ -> None)
+      (String.split_on_char '\n' s)
 
 (* ---------- accessors ---------- *)
 

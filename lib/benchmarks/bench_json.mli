@@ -26,6 +26,12 @@ val of_string : string -> json
 (** Parses a complete JSON document.  @raise Parse_error on malformed input
     or trailing garbage. *)
 
+val docs_of_string : string -> json list
+(** One document, or else a JSONL stream: [[of_string s]] when [s] parses
+    whole, otherwise every line that parses on its own, in order (blank and
+    malformed lines, such as the torn tail of a killed writer, are
+    skipped).  [[]] when nothing parses.  Never raises. *)
+
 val member : string -> json -> json
 (** Object field lookup. @raise Parse_error when absent or not an object. *)
 

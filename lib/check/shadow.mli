@@ -16,9 +16,9 @@
     sequential executor ({!Seq_exec}) the {e first}/{e second} attribution is
     exact as well.
 
-    Instrumentation is a process-global switch in the style of [Pool.Trace]:
-    when it is off, a shadow write costs one atomic load on top of the plain
-    store — cheap enough to leave shadow-wrapped code in test harnesses
+    Instrumentation is a process-global switch in the style of
+    [Pool.Recorder]: when it is off, a shadow write costs one atomic load on
+    top of the plain store — cheap enough to leave shadow-wrapped code in test harnesses
     permanently. *)
 
 open Rpb_pool

@@ -13,15 +13,8 @@ module J = Rpb_benchmarks.Bench_json
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 
-let enable () =
-  Atomic.set enabled_flag true;
-  (* The metrics plane being on is what makes the pool's per-worker GC
-     probe worth its gated sample. *)
-  Pool.set_gc_sampling true
-
-let disable () =
-  Atomic.set enabled_flag false;
-  Pool.set_gc_sampling false
+let enable () = Atomic.set enabled_flag true
+let disable () = Atomic.set enabled_flag false
 
 (* ------------------------------------------------------------------ *)
 (* Stripes *)
@@ -190,13 +183,7 @@ let register_pool ?(prefix = "pool") pool =
       float_of_int (Array.fold_left ( + ) 0 (Pool.deque_depths pool)));
   p "deque_depth_max" (fun () ->
       float_of_int (Array.fold_left max 0 (Pool.deque_depths pool)));
-  p "timer_pending" (fun () -> float_of_int (Pool.Timer.pending_count ()));
-  p "gc_minor_collections" (fun () ->
-      float_of_int
-        (Array.fold_left (fun acc (m, _) -> acc + m) 0 (Pool.gc_samples pool)));
-  p "gc_minor_kwords" (fun () ->
-      float_of_int
-        (Array.fold_left (fun acc (_, kw) -> acc + kw) 0 (Pool.gc_samples pool)))
+  p "timer_pending" (fun () -> float_of_int (Pool.Timer.pending_count ()))
 
 (* ------------------------------------------------------------------ *)
 (* GC pause sampling via the runtime's own event stream, self-monitored.

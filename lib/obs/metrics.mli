@@ -24,12 +24,12 @@
 
     {2 The switch}
 
-    The whole plane sits behind one process-global enable flag in the
-    {!Rpb_pool.Pool.Trace} idiom: while {!enabled} is false every
-    instrument call costs exactly one atomic load and allocates nothing;
-    while true, a counter bump is that load plus one plain array increment
-    in the caller's own stripe.  {!enable} also arms the pool's per-worker
-    GC probe ({!Rpb_pool.Pool.set_gc_sampling}).
+    The whole plane sits behind one process-global enable flag: while
+    {!enabled} is false every instrument call costs exactly one atomic load
+    and allocates nothing; while true, a counter bump is that load plus one
+    plain array increment in the caller's own stripe.  GC activity comes
+    only from the runtime's [Runtime_events] stream (see
+    {!sample_gc_pauses}); the pool carries no GC probe of its own.
 
     {2 Snapshots}
 
@@ -110,8 +110,8 @@ val register_pool : ?prefix:string -> Rpb_pool.Pool.t -> unit
     [<prefix>.*] (default prefix ["pool"]): worker count, cumulative
     tasks/steals/failed-steals/idle episodes (from
     {!Rpb_pool.Pool.Stats.capture} — consumers take deltas), instantaneous
-    total and max deque depth, timer-wheel occupancy, and the per-worker
-    GC probe totals (minor collections, minor kwords).  Re-registering the
+    total and max deque depth, and timer-wheel occupancy.  Minor-GC counts
+    are the [count] of the [gc.minor_pause_ns] histogram.  Re-registering the
     same prefix replaces the probes (latest pool wins). *)
 
 (** {1 GC pause sampling}

@@ -72,27 +72,17 @@ let add_file acc path =
   match read_file path with
   | exception Sys_error msg -> { acc with errors = (path, msg) :: acc.errors }
   | content -> (
-    match J.of_string content with
-    | j ->
-      let acc = add_doc acc j in
-      { acc with sources = { path; kind = classify_doc j } :: acc.sources }
-    | exception J.Parse_error msg -> (
-      (* Not one document — maybe a JSONL stream (the --metrics-json
-         format: snapshots interleaved with slow-request profiles).  Each
-         line classifies on its own; the file parses if any line does. *)
-      let docs =
-        String.split_on_char '\n' content
-        |> List.filter_map (fun line ->
-               if String.trim line = "" then None
-               else match J.of_string line with
-                 | j -> Some j
-                 | exception J.Parse_error _ -> None)
-      in
-      match docs with
-      | [] -> { acc with errors = (path, msg) :: acc.errors }
-      | docs ->
-        let acc = List.fold_left add_doc acc docs in
-        { acc with sources = { path; kind = "jsonl" } :: acc.sources }))
+    (* One document, or a JSONL stream (the --metrics-json format:
+       snapshots interleaved with slow-request profiles), where each line
+       classifies on its own. *)
+    match J.docs_of_string content with
+    | [] ->
+      let msg = "no JSON document or JSONL line" in
+      { acc with errors = (path, msg) :: acc.errors }
+    | docs ->
+      let kind = match docs with [ j ] -> classify_doc j | _ -> "jsonl" in
+      let acc = List.fold_left add_doc acc docs in
+      { acc with sources = { path; kind } :: acc.sources })
 
 let load_files paths =
   let a = List.fold_left add_file empty paths in

@@ -16,7 +16,8 @@
 type source = { path : string; kind : string }
 (** One input file and the document kind it classified as:
     ["bench" | "profile" | "check" | "fault" | "compare" | "serve" |
-    "metrics" | "slo"], or ["jsonl"] for a multi-line stream. *)
+    "metrics" | "slo"], or ["jsonl"] for a stream of several documents
+    ({!Rpb_benchmarks.Bench_json.docs_of_string}). *)
 
 type artifacts = {
   bench : Rpb_benchmarks.Bench_json.record list;

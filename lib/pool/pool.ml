@@ -19,7 +19,7 @@ exception Stalled of string
    [outstanding] has drained to zero, so no task of a failed run is still
    touching caller state when [run] returns.  The happy-path cost is one
    atomic load per scheduling decision (split / join / task start), the same
-   budget as the [Trace] switch. *)
+   budget as an instrumentation switch. *)
 
 type scope = {
   cancel_flag : bool Atomic.t;
@@ -74,16 +74,8 @@ let c_max_depth = 4
    new allocation, no false sharing. *)
 let c_last_victim = 5
 
-(* Per-worker GC samples for the live metrics plane: [Gc.quick_stat] can
-   only be read from the owning domain, so workers sample their own
-   minor-collection count and minor words (in kwords, to stay in an int)
-   every 64 tasks while the gc-sampling instrumentation bit is set.  Same
-   slab, same racy-read aggregation contract as the counters above. *)
-let c_gc_minors = 6
-let c_gc_minor_kwords = 7
-
 (* 8 words = 64 bytes of payload per slab: one full cache line, so two
-   workers' counters never share one. *)
+   workers' counters never share one.  Slots 6-7 are padding. *)
 let counter_slots = 8
 
 (* ------------------------------------------------------------------ *)
@@ -282,8 +274,8 @@ let size pool = pool.num_workers
 let policy pool = pool.policy
 let policy_name pool = pool.policy.Policy.name
 
-(* Alias for annotating functions defined after [Stats]/[Trace], whose record
-   fields would otherwise shadow [t]'s during inference. *)
+(* Alias for annotating functions defined after [Stats], whose record fields
+   would otherwise shadow [t]'s during inference. *)
 type pool = t
 
 (* ------------------------------------------------------------------ *)
@@ -391,27 +383,19 @@ end
 (* Instrumentation switch word.
 
    One process-global atomic int holds a bit per optional instrumentation
-   layer — bit 0: Chrome-trace spans ([Trace]), bit 1: the flight recorder
-   ([Recorder]).  Shared hot sites ([Trace.span]) test the whole word once,
-   so "both off" still costs exactly one atomic load. *)
+   layer — bit 1: the flight recorder ([Recorder], and through it the
+   [Trace] spans), bit 2: scheduler fault injection ([Fault]).  "All pool
+   instrumentation off" is [instr_flags = 0]; every instrumented site pays
+   one atomic load of this word while its bit is clear. *)
 
 let instr_flags = Atomic.make 0
-let tracing_bit = 1
-let recording_bit = 2
-
-(* Bit 2: periodic per-worker [Gc.quick_stat] sampling into the counter
-   slabs ([c_gc_minors] / [c_gc_minor_kwords]), polled by the live metrics
-   plane in [lib/obs].  Costs one atomic load per executed task while off —
-   the same contract as [Trace] / [Fault]. *)
-let gc_sampling_bit = 4
+let recording_bit = 1
+let fault_bit = 2
 
 let rec set_instr_bit bit on =
   let cur = Atomic.get instr_flags in
   let next = if on then cur lor bit else cur land lnot bit in
   if not (Atomic.compare_and_set instr_flags cur next) then set_instr_bit bit on
-
-let set_gc_sampling on = set_instr_bit gc_sampling_bit on
-let gc_sampling () = Atomic.get instr_flags land gc_sampling_bit <> 0
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler flight recorder.
@@ -641,8 +625,8 @@ module Recorder = struct
   let idle_event ~w ~begin_ns = emit (Idle { w; begin_ns; end_ns = now_ns () })
   let steal_event ~thief ~victim = emit (Steal { thief; victim; ts_ns = now_ns () })
 
-  let phase_event ~name ~w ~begin_ns ~end_ns =
-    emit (Phase { name; w; begin_ns; end_ns })
+  let phase_event ~name ~w ~begin_ns =
+    emit (Phase { name; w; begin_ns; end_ns = now_ns () })
 
   let with_root f =
     if not (enabled ()) then f ()
@@ -699,78 +683,25 @@ module Recorder = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Task tracing.
+(* Chrome-trace export.
 
-   Off by default and gated behind one atomic read per potential event, so
-   the instrumented hot paths stay at their uninstrumented cost when tracing
-   is disabled.  Events are buffered per domain (no shared structure on the
-   recording path) and serialized to the Chrome trace-event JSON format
-   ([chrome://tracing] / Perfetto) on [stop_to_file]. *)
+   Not a recording layer of its own: [start] arms a [Recorder] session and
+   [stop_to_file] renders that session's duration events — [Phase] spans
+   under their own names, [Work] segments as "work", [Idle] episodes as
+   "idle" — in the Chrome trace-event JSON format ([chrome://tracing] /
+   Perfetto).  The wall-clock epoch is applied here and only here. *)
 
 module Trace = struct
-  type event = { name : string; tid : int; ts_us : float; dur_us : float }
-
-  let registry_mutex = Mutex.create ()
-  let buffers : event list ref list ref = ref []
-
-  let buf_key : event list ref option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let my_buffer () =
-    let slot = Domain.DLS.get buf_key in
-    match !slot with
-    | Some b -> b
-    | None ->
-      let b = ref [] in
-      Mutex.lock registry_mutex;
-      buffers := b :: !buffers;
-      Mutex.unlock registry_mutex;
-      slot := Some b;
-      b
-
-  let enabled () = Atomic.get instr_flags land tracing_bit <> 0
-
-  (* Monotonic microseconds (Rpb_prim.Timing) — durations can never go
-     negative across NTP slews.  The wall-clock epoch is reapplied in one
-     place, at Chrome-trace serialization. *)
-  let now_us () = Rpb_prim.Timing.now_us ()
-
-  let record ~name ~tid ~ts_us ~dur_us =
-    if enabled () then begin
-      let b = my_buffer () in
-      b := { name; tid; ts_us; dur_us } :: !b
-    end
-
-  let start () =
-    Mutex.lock registry_mutex;
-    List.iter (fun b -> b := []) !buffers;
-    Mutex.unlock registry_mutex;
-    set_instr_bit tracing_bit true
-
-  let stop () =
-    set_instr_bit tracing_bit false;
-    Mutex.lock registry_mutex;
-    let evs = List.concat_map (fun b -> !b) !buffers in
-    List.iter (fun b -> b := []) !buffers;
-    Mutex.unlock registry_mutex;
-    List.sort (fun a b -> compare a.ts_us b.ts_us) evs
-
-  (* Feeds both optional layers: a Chrome-trace span when tracing is on, a
-     [Phase] flight-recorder event when recording is on — behind a single
-     atomic load of the shared switch word when both are off. *)
+  (* A [Phase] flight-recorder event around [f] while recording is armed.
+     Tests the recording bit alone, so an armed fault sweep does not take
+     the slow path: one atomic load when recording is off. *)
   let span pool name f =
-    if Atomic.get instr_flags = 0 then f ()
+    if not (Recorder.enabled ()) then f ()
     else begin
-      let t0_ns = Rpb_prim.Timing.monotonic_ns () in
+      let begin_ns = Recorder.now_ns () in
       let finish () =
-        let t1_ns = Rpb_prim.Timing.monotonic_ns () in
-        let tid = match my_index pool with Some i -> i | None -> -1 in
-        if enabled () then
-          record ~name ~tid
-            ~ts_us:(float_of_int t0_ns *. 1e-3)
-            ~dur_us:(float_of_int (t1_ns - t0_ns) *. 1e-3);
-        if Recorder.enabled () then
-          Recorder.phase_event ~name ~w:tid ~begin_ns:t0_ns ~end_ns:t1_ns
+        let w = match my_index pool with Some i -> i | None -> -1 in
+        Recorder.phase_event ~name ~w ~begin_ns
       in
       match f () with
       | x ->
@@ -780,6 +711,8 @@ module Trace = struct
         finish ();
         raise e
     end
+
+  let start () = Recorder.start ()
 
   let escape name =
     let b = Buffer.create (String.length name + 2) in
@@ -795,36 +728,51 @@ module Trace = struct
       name;
     Buffer.contents b
 
-  let stop_to_file path =
-    let evs = stop () in
+  let to_file path (r : Recorder.recording) =
+    let spans =
+      List.filter_map
+        (function
+          | Recorder.Phase { name; w; begin_ns; end_ns } ->
+            Some (name, w, begin_ns, end_ns)
+          | Recorder.Work { w; begin_ns; end_ns; _ } ->
+            Some ("work", w, begin_ns, end_ns)
+          | Recorder.Idle { w; begin_ns; end_ns } ->
+            Some ("idle", w, begin_ns, end_ns)
+          | _ -> None)
+        r.Recorder.events
+    in
+    let us ns = float_of_int ns *. 1e-3 in
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
         output_string oc "[";
         List.iteri
-          (fun i e ->
+          (fun i (name, w, begin_ns, end_ns) ->
             if i > 0 then output_string oc ",";
             Printf.fprintf oc
               "\n\
                {\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
-              (escape e.name) e.tid
-              (Rpb_prim.Timing.epoch_of_monotonic_us e.ts_us)
-              e.dur_us)
-          evs;
+              (escape name) w
+              (Rpb_prim.Timing.epoch_of_monotonic_us (us begin_ns))
+              (us (end_ns - begin_ns)))
+          spans;
         output_string oc "\n]\n");
-    List.length evs
+    List.length spans
+
+  let stop_to_file path = to_file path (Recorder.stop ())
 end
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler fault injection.
 
-   Follows the [Trace]/[Shadow] global-switch pattern: off by default, and
-   every injection site is gated on one atomic load ([armed ()]) so the
-   scheduler hot paths keep their uninstrumented cost.  When enabled, each
-   domain derives a private RNG from the configured seed (and its domain id),
-   and at every scheduler decision point — task start, successful steal,
-   domain spawn — flips a seeded coin against the configured probability.
+   Off by default: its switch is [fault_bit] of the shared [instr_flags]
+   word, and every injection site is gated on one atomic load ([armed ()])
+   so the scheduler hot paths keep their uninstrumented cost.  When
+   enabled, each domain derives a private RNG from the configured seed (and
+   its domain id), and at every scheduler decision point — task start,
+   successful steal, domain spawn — flips a seeded coin against the
+   configured probability.
    Used by [Oracle.fault_sweep] to prove the runtime fails cleanly: injected
    task exceptions must propagate structurally, injected delays and stalls
    must never change results, injected spawn failures must degrade [create]
@@ -859,7 +807,6 @@ module Fault = struct
     spawn_fails : int;
   }
 
-  let enabled_flag = Atomic.make false
   let config = Atomic.make off
 
   (* Bumped on every [enable] so cached per-domain RNGs re-seed. *)
@@ -868,7 +815,7 @@ module Fault = struct
   let n_steal = Atomic.make 0
   let n_stall = Atomic.make 0
   let n_spawn = Atomic.make 0
-  let armed () = Atomic.get enabled_flag
+  let armed () = Atomic.get instr_flags land fault_bit <> 0
 
   let enable cfg =
     Atomic.set config cfg;
@@ -877,9 +824,9 @@ module Fault = struct
     Atomic.set n_stall 0;
     Atomic.set n_spawn 0;
     Atomic.incr generation;
-    Atomic.set enabled_flag true
+    set_instr_bit fault_bit true
 
-  let disable () = Atomic.set enabled_flag false
+  let disable () = set_instr_bit fault_bit false
 
   let counts () =
     {
@@ -1207,30 +1154,8 @@ let try_find_task pool my_idx rng =
 let execute pool idx task =
   let c = pool.counters.(idx) in
   c.(c_tasks) <- c.(c_tasks) + 1;
-  (* Live-metrics GC probe: [Gc.quick_stat] is only meaningful on the owning
-     domain, so each worker samples its own counters here, at most once per
-     64 executed tasks.  One atomic load when the bit is off. *)
-  if
-    Atomic.get instr_flags land gc_sampling_bit <> 0
-    && c.(c_tasks) land 63 = 0
-  then begin
-    let s = Gc.quick_stat () in
-    c.(c_gc_minors) <- s.Gc.minor_collections;
-    c.(c_gc_minor_kwords) <- int_of_float (s.Gc.minor_words *. 1e-3)
-  end;
   if Fault.armed () then Fault.stall_site ();
-  if Trace.enabled () then begin
-    let t0 = Trace.now_us () in
-    match task () with
-    | () ->
-      Trace.record ~name:"task" ~tid:idx ~ts_us:t0
-        ~dur_us:(Trace.now_us () -. t0)
-    | exception e ->
-      Trace.record ~name:"task" ~tid:idx ~ts_us:t0
-        ~dur_us:(Trace.now_us () -. t0);
-      raise e
-  end
-  else task ()
+  task ()
 
 (* Resize the calling domain's minor heap to the pool's configured size.
    Returns the previous size so [run] can restore the caller's setting.  The
@@ -1347,7 +1272,7 @@ let make_pool ?minor_heap_kb ~num_workers ~sched ~policy () =
   pool.num_workers <- Array.length pool.domains + 1;
   pool
 
-let create ?name:_ ?(policy = Policy.default) ?minor_heap_kb ~num_workers () =
+let create ?(policy = Policy.default) ?minor_heap_kb ~num_workers () =
   make_pool ?minor_heap_kb ~num_workers ~sched:Ws ~policy ()
 
 let create_deterministic ?(seed = 0) ?(shuffle = true) () =
@@ -2015,21 +1940,8 @@ let run ?deadline pool f =
 
 let current_worker = my_index
 
-(* Live scheduler gauges for the metrics plane: instantaneous per-worker
+(* Live scheduler gauge for the metrics plane: instantaneous per-worker
    deque depths (racy [Ws_deque.size] reads — a point-in-time occupancy
-   sketch, not an invariant) and the latest per-worker GC samples written by
-   the gated probe in [execute]. *)
+   sketch, not an invariant). *)
 let deque_depths pool =
   Array.init pool.num_workers (fun i -> Ws_deque.size pool.deques.(i))
-
-let gc_samples pool =
-  Array.init pool.num_workers (fun i ->
-      let c = pool.counters.(i) in
-      (c.(c_gc_minors), c.(c_gc_minor_kwords)))
-
-(* Deprecated compat wrapper over [Stats]; kept so old callers and scripts
-   that scrape the one-line form keep working. *)
-let stats pool =
-  let s = Stats.capture pool in
-  Printf.sprintf "workers=%d tasks=%d steals=%d" s.Stats.num_workers
-    (Stats.tasks_executed s) (Stats.steals_ok s)

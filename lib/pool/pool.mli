@@ -21,8 +21,9 @@
     "help-first" policy that makes nested parallelism deadlock-free.
 
     The scheduler is instrumented: every worker keeps private, cache-line
-    padded counters (see {!Stats}) and every hot path carries an optional
-    tracing hook (see {!Trace}) that costs one atomic load when disabled.
+    padded counters (see {!Stats}) and every hot path carries optional
+    flight-recorder and fault-injection hooks (see {!Recorder}, {!Fault})
+    behind one switch word that costs one atomic load when disabled.
 
     {2 Failure semantics}
 
@@ -230,8 +231,7 @@ module Policy : sig
 end
 
 val create :
-  ?name:string -> ?policy:Policy.t -> ?minor_heap_kb:int ->
-  num_workers:int -> unit -> t
+  ?policy:Policy.t -> ?minor_heap_kb:int -> num_workers:int -> unit -> t
 (** [create ~num_workers ()] spawns [num_workers - 1] worker domains; the
     domain that later calls {!run} acts as the remaining worker.
     [num_workers] must be at least 1.  With [num_workers = 1] every operation
@@ -360,19 +360,6 @@ val deque_depths : t -> int array
 (** Instantaneous per-worker deque depths — racy point-in-time reads, a
     live-load sketch for the metrics plane, not a synchronized snapshot. *)
 
-val gc_samples : t -> (int * int) array
-(** Latest per-worker [(minor_collections, minor_kwords)] GC samples.  Only
-    populated while {!set_gc_sampling} is on: each worker samples its own
-    [Gc.quick_stat] at most once per 64 executed tasks (a domain's GC
-    counters can only be read from that domain).  Zeros otherwise. *)
-
-val set_gc_sampling : bool -> unit
-(** Arm or disarm the per-worker GC probe behind {!gc_samples}.  Shares the
-    process-global instrumentation switch word with {!Trace} / {!Recorder}:
-    one atomic load per executed task while off. *)
-
-val gc_sampling : unit -> bool
-
 (** {1 Scheduler telemetry}
 
     Every worker maintains private counters in its own cache line — the
@@ -429,47 +416,14 @@ module Stats : sig
   (** Multi-line form: totals plus one line per worker. *)
 end
 
-(** {1 Task tracing}
-
-    A process-global switch (the pool's hot paths only pay one atomic load
-    while it is off).  When enabled, every executed task and every
-    {!Trace.span} records a complete event — name, worker id, begin
-    timestamp, duration — into a per-domain buffer; {!Trace.stop_to_file}
-    serializes them in the Chrome trace-event JSON format, loadable in
-    [chrome://tracing] or Perfetto. *)
-
-module Trace : sig
-  type pool := t
-
-  val enabled : unit -> bool
-
-  val start : unit -> unit
-  (** Discard previously buffered events and begin recording. *)
-
-  val span : pool -> string -> (unit -> 'a) -> 'a
-  (** [span pool name f] runs [f] and, when tracing is enabled, records a
-      named span attributed to the calling worker (worker id [-1] outside the
-      pool).  When tracing is off the cost is a single atomic load. *)
-
-  val record : name:string -> tid:int -> ts_us:float -> dur_us:float -> unit
-  (** Low-level hook: append one complete event.  Timestamps are monotonic
-      microseconds, as given by [Rpb_prim.Timing.now_us] — the wall-clock
-      epoch is applied once, at Chrome-trace serialization.  Dropped when
-      disabled. *)
-
-  val stop_to_file : string -> int
-  (** Stop recording, write all buffered events as Chrome-trace JSON to the
-      given path, clear the buffers, and return the number of events.
-      Timestamps are mapped onto the Unix epoch here (and only here), via
-      [Rpb_prim.Timing.epoch_of_monotonic_us]. *)
-end
-
 (** {1 Scheduler flight recorder}
 
     The raw-event layer behind the work/span profiler in [lib/obs] ([rpb
-    profile]).  Off by default; it shares one process-global switch word with
-    {!Trace}, so every instrumented scheduler site — including
-    {!Trace.span} — costs a single atomic load when both layers are off.
+    profile]) and the {!Trace} export.  Off by default; its switch is one
+    bit of the pool's process-global instrumentation word, shared with
+    {!Fault}, so with both off every instrumented scheduler site —
+    including {!Trace.span} — costs a single atomic load, and executing a
+    task reads the word exactly once.
 
     When armed ({!Recorder.start}), each domain appends task-lifecycle events
     into its own lock-free ring buffer: single writer, drop-oldest on
@@ -546,15 +500,52 @@ module Recorder : sig
       domain that calls {!run}, around the workload being profiled. *)
 end
 
+(** {1 Chrome-trace export}
+
+    A renderer over the {!Recorder}, not a recording layer of its own:
+    {!Trace.start} arms a flight-recorder session and {!Trace.stop_to_file}
+    writes that session's duration events in the Chrome trace-event JSON
+    format, loadable in [chrome://tracing] or Perfetto.  A trace therefore
+    holds the {!Trace.span} phases, the [Work] strand segments and the
+    [Idle] episodes of every worker — the newest 32Ki events per domain,
+    older ones dropped (the count is in {!Recorder.recording.dropped}). *)
+
+module Trace : sig
+  type pool := t
+
+  val start : unit -> unit
+  (** [Recorder.start ()]: discard any previous session and begin
+      recording. *)
+
+  val span : pool -> string -> (unit -> 'a) -> 'a
+  (** [span pool name f] runs [f] and, while the recorder is armed, emits a
+      [Phase] event named [name] attributed to the calling worker (worker id
+      [-1] outside the pool).  When recording is off the cost is a single
+      atomic load; other instrumentation bits (an armed {!Fault} sweep) do
+      not take the slow path. *)
+
+  val to_file : string -> Recorder.recording -> int
+  (** Write the recording's [Phase] events (under their own names), [Work]
+      segments (as ["work"]) and [Idle] episodes (as ["idle"]) as Chrome
+      complete ([ph = "X"]) events, worker id as [tid], to the given path;
+      return the number of events written.  Timestamps are mapped onto the
+      Unix epoch here (and only here), via
+      [Rpb_prim.Timing.epoch_of_monotonic_us]. *)
+
+  val stop_to_file : string -> int
+  (** [to_file path (Recorder.stop ())]. *)
+end
+
 (** {1 Scheduler fault injection}
 
-    A process-global switch in the {!Trace} mold: while disabled (the
-    default) every injection site costs one atomic load.  When enabled, each
-    domain derives a private RNG stream from the configured seed and flips a
-    coin at every scheduler decision point — task start (inject an
-    exception), successful steal (inject a delay), task execution (stall the
-    worker), [Domain.spawn] (fail the spawn).  Equal seeds give equal
-    per-domain streams, so a failing schedule is replayable.
+    A process-global switch, one bit of the same instrumentation word as the
+    {!Recorder}: while disabled (the default) every injection site costs one
+    atomic load.  When enabled, each domain derives a private RNG stream
+    from the configured seed and flips a coin at every scheduler decision
+    point — task start (inject an exception), successful steal (inject a
+    delay), task execution (stall the worker), [Domain.spawn] (fail the
+    spawn).  Equal seeds give equal per-domain streams, so a failing
+    schedule is replayable.
 
     This is the probe behind [Oracle.fault_sweep] ([rpb faults]): under
     injected faults every benchmark must either produce its canonical digest
@@ -596,7 +587,3 @@ module Fault : sig
 
   val total : counts -> int
 end
-
-val stats : t -> string
-[@@ocaml.deprecated "Use Pool.Stats.capture / Pool.Stats.summary instead."]
-(** Legacy one-line counter string; thin wrapper over {!Stats.capture}. *)

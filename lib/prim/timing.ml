@@ -7,8 +7,6 @@ external monotonic_ns : unit -> int = "rpb_clock_monotonic_ns" [@@noalloc]
 
 let now () = float_of_int (monotonic_ns ()) *. 1e-9
 
-let now_us () = float_of_int (monotonic_ns ()) *. 1e-3
-
 (* The one place the monotonic clock is pinned to the wall clock.  Computed
    once at module initialisation; every consumer (Chrome-trace serialization)
    goes through [epoch_of_monotonic_us] so the offset lives in exactly one

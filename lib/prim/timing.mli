@@ -12,9 +12,6 @@ val monotonic_ns : unit -> int
 val now : unit -> float
 (** Monotonic time in seconds. *)
 
-val now_us : unit -> float
-(** Monotonic time in microseconds (the Chrome-trace unit). *)
-
 val epoch_of_monotonic_us : float -> float
 (** Map a monotonic microsecond timestamp onto the Unix epoch, using the
     wall-vs-monotonic offset sampled once at program start.  This is the only

@@ -220,7 +220,7 @@ let resolve_pool t name =
     | None ->
       let policy = Option.get (Pool.Policy.find name) in
       let p =
-        Pool.create ~name:("serve-" ^ name) ~policy
+        Pool.create ~policy
           ?minor_heap_kb:t.cfg.minor_heap_kb ~num_workers:t.cfg.threads ()
       in
       Hashtbl.replace t.pools name p;
@@ -291,18 +291,22 @@ let run_bench t pool (req : Protocol.request) =
    own cancel mark is a stale cancellation from an earlier job's disconnect
    poisoning the fresh scope — retried once (the scope is clean again after
    the aborted run). *)
-let execute t job pool =
+let execute t job pool ~qwait_ms =
   let req = job.req in
-  let queue_ms = (Rpb_prim.Timing.now () -. job.enqueued_at) *. 1e3 in
-  (* Request-scoped scheduler tracing: the whole run executes under a span
-     named for the request, so when the flight recorder is armed (the
-     slow-request log, or an operator-started [Trace]/[Recorder] session)
-     every Phase event attributes scheduler behaviour to a request id.
-     One atomic load when all instrumentation is off. *)
-  let span_name = Printf.sprintf "request:%d:%s" req.id req.bench in
+  (* Request-scoped scheduler tracing: when the flight recorder is armed
+     (the slow-request log, or an operator-started [Trace]/[Recorder]
+     session) the whole run executes under a span named for the request, so
+     every Phase event attributes scheduler behaviour to a request id.  The
+     name is only formatted then. *)
+  let body () =
+    if req.bench = "spin" then run_spin pool req else run_bench t pool req
+  in
   let attempt () =
-    Pool.Trace.span pool span_name (fun () ->
-        if req.bench = "spin" then run_spin pool req else run_bench t pool req)
+    if Pool.Recorder.enabled () then
+      Pool.Trace.span pool
+        (Printf.sprintf "request:%d:%s" req.id req.bench)
+        body
+    else body ()
   in
   match
     try attempt ()
@@ -310,7 +314,9 @@ let execute t job pool =
   with
   | digest, exec_ms ->
     ( "ok",
-      Some (Protocol.Ok_reply { id = req.id; digest; queue_ms; exec_ms }),
+      Some
+        (Protocol.Ok_reply
+           { id = req.id; digest; queue_ms = qwait_ms; exec_ms }),
       exec_ms )
   | exception Pool.Stalled msg ->
     let brief =
@@ -485,11 +491,10 @@ let executor_loop t =
         if recording_armed then
           Pool.Recorder.start ~ring_capacity:4096 ~policy_name ();
         let qwait_ms = (Rpb_prim.Timing.now () -. job.enqueued_at) *. 1e3 in
-        let status, reply, exec_ms = execute t job pool in
+        let status, reply, exec_ms = execute t job pool ~qwait_ms in
         let recording =
           if recording_armed then Some (Pool.Recorder.stop ()) else None
         in
-        let queue_ms = (Rpb_prim.Timing.now () -. job.enqueued_at) *. 1e3 in
         (* Histogram observations sit directly against the status-counter
            bump: a stats snapshot racing this request sees histogram
            totals at most one ahead of the counters (the single in-flight
@@ -508,7 +513,7 @@ let executor_loop t =
           t.ewma_ms <- (0.8 *. t.ewma_ms) +. (0.2 *. exec_ms);
           Metrics.set_gauge m_ewma t.ewma_ms
         end;
-        record t ~job ~policy_name ~status ~queue_ms ~exec_ms;
+        record t ~job ~policy_name ~status ~queue_ms:qwait_ms ~exec_ms;
         Mutex.unlock t.qmutex;
         (match recording with
         | Some r when status = "ok" && exec_ms >= threshold_ms ->
@@ -854,7 +859,7 @@ let start cfg =
       Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
       Unix.listen listen_fd 64;
       let pool =
-        Pool.create ~name:"serve" ~policy ?minor_heap_kb:cfg.minor_heap_kb
+        Pool.create ~policy ?minor_heap_kb:cfg.minor_heap_kb
           ~num_workers:cfg.threads ()
       in
       let slo_state =

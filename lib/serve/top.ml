@@ -217,9 +217,7 @@ let render ?prev s =
         Printf.sprintf "%s p99 %.3f ms (n=%d)" label (pct h 99.) h.count
       | _ -> Printf.sprintf "%s -" label
     in
-    line "gc         %s   %s   minors %.0f" (part "minor" minor)
-      (part "major-slice" major)
-      (Option.value (gauge_of s "pool.gc_minor_collections") ~default:0.));
+    line "gc         %s   %s" (part "minor" minor) (part "major-slice" major));
   (* SLO panel: present only when the server runs with --slo.  Objective
      names are recovered from the slo.<name>.level gauge family. *)
   let slo_objectives =

@@ -102,12 +102,8 @@ let test_switch_gates_writes () =
   Alcotest.(check int) "disabled observe is a no-op" 0 (Metrics.hist_count h);
   Metrics.enable ();
   Alcotest.(check bool) "enabled" true (Metrics.enabled ());
-  Alcotest.(check bool) "enable arms the pool GC probe" true
-    (Pool.gc_sampling ());
   Metrics.incr c;
   Metrics.disable ();
-  Alcotest.(check bool) "disable disarms the pool GC probe" false
-    (Pool.gc_sampling ());
   Alcotest.(check int) "enabled incr lands" 1 (Metrics.counter_value c)
 
 (* ---------- percentiles ---------- *)

@@ -381,6 +381,30 @@ let test_serve_drain_replies_to_queued () =
               (kind = Protocol.Shutting_down || kind = Protocol.Cancelled))
         seen)
 
+(* The artifact's per-request queue_ms is the wait before execution: a lone
+   50 ms spin on an idle server waits far less than it runs. *)
+let test_serve_artifact_queue_ms () =
+  let path = Filename.temp_file "rpb_serve_artifact" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  with_server ~json_path:path (fun t ->
+      let conn = connect t in
+      (match rpc conn (Protocol.request ~spin_ms:50 ~id:1 ~bench:"spin" ()) with
+      | Protocol.Ok_reply _ -> ()
+      | Protocol.Err_reply { msg; _ } -> Alcotest.fail ("spin: " ^ msg));
+      close_conn conn;
+      Serve.stop t);
+  let ic = open_in_bin path in
+  let doc = J.of_string (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  match J.get_list (J.member "requests" doc) with
+  | [ r ] ->
+    let queue_ms = J.get_float (J.member "queue_ms" r)
+    and exec_ms = J.get_float (J.member "exec_ms" r) in
+    Alcotest.(check bool)
+      (Printf.sprintf "queue_ms %.3f < exec_ms %.3f" queue_ms exec_ms)
+      true (queue_ms < exec_ms)
+  | rs -> Alcotest.failf "expected one request record, got %d" (List.length rs)
+
 (* ---------- the stats verb and the live metrics plane ---------- *)
 
 let stats_snapshot conn =
@@ -652,6 +676,8 @@ let () =
             test_serve_disconnect_cancels;
           Alcotest.test_case "drain replies to queued" `Quick
             test_serve_drain_replies_to_queued;
+          Alcotest.test_case "artifact queue_ms excludes exec" `Quick
+            test_serve_artifact_queue_ms;
           Alcotest.test_case "stats verb reconciles" `Quick
             test_serve_stats_verb;
           Alcotest.test_case "health verb without slo" `Quick

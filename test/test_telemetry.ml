@@ -59,6 +59,16 @@ let test_json_parser_rejects_garbage () =
   rejects "\"unterminated";
   rejects "nul"
 
+let test_docs_of_string () =
+  let docs s = List.map Bench_json.to_string (Bench_json.docs_of_string s) in
+  Alcotest.(check (list string)) "a single document"
+    [ "{\"a\":[1,2]}" ]
+    (docs "{\"a\":\n  [1, 2]}\n");
+  Alcotest.(check (list string)) "JSONL with a truncated last line"
+    [ "{\"seq\":1}"; "{\"seq\":2}" ]
+    (docs "{\"seq\":1}\n{\"seq\":2}\n{\"seq\":3,\"ts_");
+  Alcotest.(check (list string)) "garbage" [] (docs "not json\n{\n")
+
 let test_json_unicode_escape () =
   let j = Bench_json.of_string "\"caf\\u00e9 \\u0416\"" in
   Alcotest.(check string) "utf-8 decoding" "caf\xc3\xa9 \xd0\x96"
@@ -342,7 +352,11 @@ let test_trace_file_is_valid_json () =
           ignore Bench_json.(get_float (member "ts" e));
           ignore Bench_json.(get_float (member "dur" e));
           ignore Bench_json.(get_int (member "tid" e)))
-        events)
+        events;
+      Alcotest.(check bool) "parallel_for yields work segments" true
+        (List.exists
+           (fun e -> Bench_json.(get_str (member "name" e)) = "work")
+           events))
 
 let () =
   Alcotest.run "rpb_telemetry"
@@ -355,6 +369,7 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick
             test_json_parser_rejects_garbage;
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escape;
+          Alcotest.test_case "docs of string" `Quick test_docs_of_string;
         ] );
       ( "schema",
         [
